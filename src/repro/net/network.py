@@ -117,7 +117,7 @@ class NetworkSimulation:
                 (:class:`~repro.phy.reception.PhyConfig`); ``None`` or
                 the default config give the paper's unit-disk model,
                 bit-identical to builds that predate the knob.  The
-                SINR model draws its shadowing streams from this run's
+                SINR model derives its shadowing from this run's
                 registry, so link budgets are seed-deterministic.
             cbr_interval_ns: ``None`` (default) gives the paper's
                 always-backlogged saturated sources; a positive value

@@ -10,14 +10,27 @@ simulated time, versus thousands of transmissions in between).
 
 This module caches that geometry:
 
-* a **point cache** of :class:`Link` records per ordered node pair —
-  ``(in_range, distance_m, bearing, delay_ns, rx_power)`` — so
-  :meth:`~repro.mac.neighbors.NeighborTable.bearing_to` and
-  ``distance_to`` become one dict lookup;
 * a **row cache** per sender: its in-range neighbors in attach order,
   binned into angular sectors, so ``audible_nodes`` only inspects the
   sectors overlapping the transmit beam plus one boundary check per
-  candidate instead of scanning every radio on the medium.
+  candidate instead of scanning every radio on the medium;
+* a **point cache** of :class:`Link` records per ordered node pair —
+  ``(in_range, distance_m, bearing, delay_ns, rx_power)`` — so
+  :meth:`~repro.mac.neighbors.NeighborTable.bearing_to` and
+  ``distance_to`` become one dict lookup.
+
+A row is built in one array pass.  numpy computes the sender's distance
+to every attached node, and the reception model turns those into a
+conservative **audible-candidate mask**
+(:meth:`~repro.phy.reception.base.ReceptionModel.audible_candidates`:
+``d <= range_m * (1 + 1e-9)`` for unit-disk, the dB budget plus
+shadowing within 1e-6 dB of sensitivity for SINR).  Only candidates get
+an exact :class:`Link` record, through the same scalar :meth:`LinkCache.link`
+a point query uses, so a pair near the range or sensitivity edge is
+settled by exactly the test the naive scan applies; the slack only
+admits a few extra candidates.  A non-candidate pair gets no record:
+most pairs of a dense cell are out of range, and a later point query
+for one falls back to the scalar path and caches its answer then.
 
 Invalidation is epoch-based and lazy.  Every node carries an epoch that
 :meth:`note_moved` bumps (``Radio.position``'s setter calls it); a
@@ -25,9 +38,10 @@ cached pair record is valid only while both endpoints' epochs match,
 so a move invalidates exactly that node's pair rows and nothing is
 recomputed until the next query that needs it.  Rows additionally
 carry a global move stamp: any move marks all rows stale (a mover can
-enter or leave *any* sender's range), but a stale row's rebuild reuses
-every pair record whose endpoints did not move, so the trig cost of a
-rebuild is proportional to how many nodes actually moved.
+enter or leave *any* sender's range).  A stale row is rebuilt by the
+same array pass as a first build, which reuses every pair record whose
+endpoints did not move, so the scalar cost of a rebuild is proportional
+to how many candidates actually moved.
 
 Determinism: the cache is bit-identical to the naive scan by
 construction — audibility and powers come from the same
@@ -36,13 +50,16 @@ the same :class:`~repro.phy.propagation.Position` values (shadowing
 draws, where the model has them, are memoized per ordered pair, so
 cache misses cannot re-roll them), and audible sets are emitted in the
 same attach order the naive loop iterates in
-(``tests/phy/test_linkcache.py`` pins the equivalence property).
+(``tests/phy/test_linkcache.py`` pins the equivalence property, under
+both reception models).
 """
 
 from __future__ import annotations
 
 import math
 from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from .antenna import AntennaPattern, normalize_angle
 
@@ -115,6 +132,11 @@ class LinkCache:
         self._move_seq = 0
         self._links: dict[tuple[int, int], tuple[int, int, Link]] = {}
         self._rows: dict[int, _Row] = {}
+        # Attach-order ids and coordinate arrays as of _geometry_stamp.
+        self._geometry_stamp = -1
+        self._ids: list[int] = []
+        self._xs = np.empty(0)
+        self._ys = np.empty(0)
 
     # ------------------------------------------------------------------
     # Invalidation hooks (the channel and radios call these).
@@ -163,21 +185,34 @@ class LinkCache:
     # Row queries (the transmit fast path).
     # ------------------------------------------------------------------
 
+    def _geometry(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Attach-order node ids and their coordinates, as of now."""
+        if self._geometry_stamp != self._move_seq:
+            self._ids = list(self._radios)
+            positions = [radio.position for radio in self._radios.values()]
+            self._xs = np.array([position.x for position in positions])
+            self._ys = np.array([position.y for position in positions])
+            self._geometry_stamp = self._move_seq
+        return self._ids, self._xs, self._ys
+
     def _row(self, sender_id: int) -> _Row:
         row = self._rows.get(sender_id)
         if row is not None and row.stamp == self._move_seq:
             return row
-        # Rebuild in attach order; unchanged pairs come straight from
-        # the point cache, so only moved endpoints pay for trig.
+        ids, xs, ys = self._geometry()
+        sender = self._radios[sender_id].position
+        me = ids.index(sender_id)
+        others = ids[:me] + ids[me + 1 :]
+        distances = np.delete(np.hypot(xs - sender.x, ys - sender.y), me)
+        candidates = self.reception.audible_candidates(sender_id, others, distances)
         link = self.link
         sectors = self.sectors
         width = self._width
-        ids: list[int] = []
+        row_ids: list[int] = []
         entries: list[tuple[int, float, int, float]] = []
         bins: list[list[int]] = [[] for _ in range(sectors)]
-        for node_id in self._radios:
-            if node_id == sender_id:
-                continue
+        for index in np.flatnonzero(candidates).tolist():
+            node_id = others[index]
             record = link(sender_id, node_id)
             if not record.in_range:
                 continue
@@ -188,11 +223,11 @@ class LinkCache:
             if sector >= sectors:
                 sector = sectors - 1
             bins[sector].append(len(entries))
-            ids.append(node_id)
+            row_ids.append(node_id)
             entries.append(
                 (node_id, record.bearing, record.delay_ns, record.rx_power)
             )
-        row = _Row(self._move_seq, ids, entries, bins)
+        row = _Row(self._move_seq, row_ids, entries, bins)
         self._rows[sender_id] = row
         return row
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from ..propagation import Position, UnitDiskPropagation
 
@@ -104,6 +106,20 @@ class ReceptionModel(ABC):
         self, src_id: int, dst_id: int, src: Position, dst: Position
     ) -> tuple[bool, float]:
         """``(audible, rx_power)`` for a transmission ``src -> dst``."""
+
+    @abstractmethod
+    def audible_candidates(
+        self, src_id: int, dst_ids: Sequence[int], distances: np.ndarray
+    ) -> np.ndarray:
+        """Boolean mask of the pairs ``src_id -> dst_ids[k]`` that may be audible.
+
+        ``distances`` are numpy distances, which may differ from
+        :meth:`~repro.phy.propagation.Position.distance_to` in the last
+        ulp, and ``dst_ids`` never holds ``src_id``.  The mask must be a
+        superset of the audible pairs: the
+        :class:`~repro.phy.linkcache.LinkCache` settles every candidate
+        with :meth:`link_budget` and skips the rest.
+        """
 
     @abstractmethod
     def make_receiver(self) -> Receiver:

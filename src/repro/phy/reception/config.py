@@ -73,8 +73,9 @@ class PhyConfig:
             propagation: delay (and, for unit-disk, range) provider.
             phy: frame-level parameters; the unit-disk model reads its
                 legacy ``capture_threshold`` from here.
-            registry: the run's RNG registry; the SINR model draws its
-                ``shadow-{src}-{dst}`` streams from it.
+            registry: the run's RNG registry; the SINR model derives
+                its per-pair shadowing from the seeds of its
+                ``shadow-{src}-{dst}`` stream names.
         """
         if self.model == "unitdisk":
             return UnitDiskReception(

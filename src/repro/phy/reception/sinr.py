@@ -7,9 +7,10 @@ away (and arXiv:1509.02325 analyses for directional antennas):
   ``tx_power_dbm - (reference_loss_db
   + 10 * pathloss_exponent * log10(d / reference_distance_m))``.
 * **Lognormal shadowing** — a zero-mean gaussian in the dB domain,
-  scaled by ``shadowing_sigma_db``, drawn once per *ordered* node pair
-  from a registry-named RNG stream (``shadow-{src}-{dst}``).  The draw
-  is memoized on first query, so link budgets are a pure function of
+  scaled by ``shadowing_sigma_db``, drawn once per *ordered* node pair:
+  the first ``gauss(0.0, 1.0)`` of the registry stream named
+  ``shadow-{src}-{dst}`` (the "pair-v1" draw).  The draw is memoized
+  on first query, so link budgets are a pure function of
   ``(registry seed, src, dst)`` regardless of query order, and the two
   directions of a pair shadow independently — the model can express a
   node that hears a neighbor it cannot reach back (the classic
@@ -29,16 +30,27 @@ away (and arXiv:1509.02325 analyses for directional antennas):
 Determinism contract: all randomness flows through the injected
 :class:`~repro.dessim.rng.RngRegistry`; equal seeds give equal
 shadowing maps, equal audibility, and equal outcomes, bit-for-bit,
-on every platform the registry's SHA-256 derivation covers.
+on every platform the registry's SHA-256 derivation covers.  The model
+never creates the ``shadow-*`` streams themselves: it takes each
+stream's seed from :meth:`~repro.dessim.rng.RngRegistry.seed_for` and
+derives the stream's first gaussian with
+:func:`~repro.dessim.rng.first_gauss`, which is bit-identical to
+seeding a ``random.Random`` and drawing once.  The first link-table
+row the channel builds draws every ordered pair among the attached
+nodes in one bulk pass (the audible-candidate mask needs them all);
+a point query for a pair not yet drawn draws just that pair.  With
+``shadowing_sigma_db == 0`` nothing is hashed or drawn at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
-from ...dessim.rng import RngRegistry
+import numpy as np
+
+from ...dessim.rng import RngRegistry, first_gauss
 from ..propagation import Position, UnitDiskPropagation
 from .base import Receiver, ReceptionModel, RxOutcome
 
@@ -204,20 +216,65 @@ class SinrCaptureReception(ReceptionModel):
     def shadowing_db(self, src_id: int, dst_id: int) -> float:
         """The pair's shadowing term (dB), drawn once and memoized.
 
-        One ``shadow-{src}-{dst}`` stream per ordered pair: a unit
-        gaussian scaled by ``shadowing_sigma_db``, so the value is a
-        pure function of the registry seed and the pair — independent
-        of when (or how often) the link is queried, and stable across
-        mobility (per-pair, not per-position, the standard
-        simplification).
+        The first unit gaussian of the ``shadow-{src}-{dst}`` stream,
+        scaled by ``shadowing_sigma_db``: a pure function of the
+        registry seed and the pair — independent of when (or how often)
+        the link is queried, and stable across mobility (per-pair, not
+        per-position, the standard simplification).
         """
+        if not self.shadowing_sigma_db:
+            return 0.0
         key = (src_id, dst_id)
         value = self._shadowing_db.get(key)
         if value is None:
-            draw = self.registry.stream(f"shadow-{src_id}-{dst_id}").gauss(0.0, 1.0)
-            value = draw * self.shadowing_sigma_db
-            self._shadowing_db[key] = value
+            self._draw_shadowing([key])
+            value = self._shadowing_db[key]
         return value
+
+    def _draw_shadowing(self, pairs: list[tuple[int, int]]) -> None:
+        """Memoize the shadowing of ``pairs`` in one bulk derivation."""
+        seed_for = self.registry.seed_for
+        draws = first_gauss([seed_for(f"shadow-{src}-{dst}") for src, dst in pairs])
+        sigma = self.shadowing_sigma_db
+        memo = self._shadowing_db
+        for pair, draw in zip(pairs, draws):
+            memo[pair] = draw * sigma
+
+    def audible_candidates(
+        self, src_id: int, dst_ids: Sequence[int], distances: np.ndarray
+    ) -> np.ndarray:
+        """Pairs whose dB budget clears sensitivity less 1e-6 dB of slack.
+
+        The budget is :meth:`rx_power_dbm` in numpy, whose ``log10``
+        and distances may differ from the scalar path's in the last
+        ulp; the slack keeps every audible pair a candidate.  The first
+        call draws the shadowing of every ordered pair among
+        ``src_id`` and ``dst_ids`` not drawn yet.
+        """
+        shadow: np.ndarray | float = 0.0
+        if self.shadowing_sigma_db:
+            memo = self._shadowing_db
+            row = [memo.get((src_id, dst)) for dst in dst_ids]
+            if None in row:
+                nodes = [src_id, *dst_ids]
+                self._draw_shadowing(
+                    [
+                        (a, b)
+                        for a in nodes
+                        for b in nodes
+                        if a != b and (a, b) not in memo
+                    ]
+                )
+                row = [memo[src_id, dst] for dst in dst_ids]
+            shadow = np.array(row)
+        reference = self.reference_distance_m
+        path_loss_db = self.reference_loss_db + (
+            10.0
+            * self.pathloss_exponent
+            * np.log10(np.maximum(distances, reference) / reference)
+        )
+        budget_dbm = self.tx_power_dbm - path_loss_db + shadow
+        return budget_dbm >= self.sensitivity_dbm - 1e-6
 
     def rx_power_dbm(
         self, src_id: int, dst_id: int, src: Position, dst: Position

@@ -18,7 +18,9 @@ path bit-identical to the pre-subsystem channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from ..propagation import Position, UnitDiskPropagation
 from .base import Receiver, ReceptionModel, RxOutcome
@@ -148,6 +150,12 @@ class UnitDiskReception(ReceptionModel):
             self.propagation.reaches(src, dst),
             max(src.distance_to(dst), 1.0) ** -self.pathloss_exponent,
         )
+
+    def audible_candidates(
+        self, src_id: int, dst_ids: Sequence[int], distances: np.ndarray
+    ) -> np.ndarray:
+        """Pairs within range, widened by 1e-9 relative for the ulp slack."""
+        return distances <= self.propagation.range_m * (1.0 + 1e-9)
 
     def make_receiver(self) -> UnitDiskReceiver:
         return UnitDiskReceiver(self.capture_threshold)

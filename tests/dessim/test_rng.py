@@ -1,10 +1,21 @@
 """Tests for deterministic random streams."""
 
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dessim import RngRegistry
+from repro.dessim import RngRegistry, Simulator
+from repro.dessim.rng import _MIN_BULK, first_gauss
+from repro.phy import (
+    Channel,
+    Position,
+    Radio,
+    SinrCaptureReception,
+    UnitDiskPropagation,
+)
 
 
 class TestRngRegistry:
@@ -80,6 +91,17 @@ class TestSeedStability:
             reference.random() for _ in range(4)
         ]
 
+    def test_seed_for_is_the_stream_seed(self):
+        registry = RngRegistry(2003)
+        assert registry.seed_for("backoff") == 7550964712488899809
+        reference = random.Random(registry.seed_for("topology"))
+        assert registry.stream("topology").random() == reference.random()
+
+    def test_seed_for_creates_no_stream(self):
+        registry = RngRegistry(2003)
+        registry.seed_for("backoff")
+        assert "backoff" not in repr(registry)
+
     def test_golden_first_draws(self):
         registry = RngRegistry(2003)
         assert registry.stream("backoff").random() == pytest.approx(
@@ -131,3 +153,74 @@ class TestStreamIndependence:
         mean_product = sum(x * y for x, y in zip(a, b)) / 500
         # E[XY] = 0.25 for independent U(0,1); generous tolerance.
         assert abs(mean_product - 0.25) < 0.05
+
+
+def _reference_gauss(seeds):
+    return [random.Random(seed).gauss(0.0, 1.0).hex() for seed in seeds]
+
+
+def _bulk(seeds):
+    """``seeds`` repeated until first_gauss takes its vectorised path."""
+    return seeds * (_MIN_BULK // len(seeds) + 1)
+
+
+class TestFirstGauss:
+    """first_gauss is random.Random(s).gauss(0.0, 1.0), bit for bit.
+
+    Compared through ``float.hex`` so even a -0.0 / 0.0 slip would show.
+    Batches of at least ``_MIN_BULK`` seeds take the vectorised MT19937
+    path; smaller ones, and one-word or over-wide seeds in any batch,
+    seed ``random.Random`` directly.
+    """
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**80 + 12345]
+
+    def test_edge_seeds_small_batch(self):
+        values = first_gauss(self.EDGE_SEEDS)
+        assert [v.hex() for v in values] == _reference_gauss(self.EDGE_SEEDS)
+
+    def test_edge_seeds_bulk_batch(self):
+        seeds = _bulk(self.EDGE_SEEDS)
+        assert [v.hex() for v in first_gauss(seeds)] == _reference_gauss(seeds)
+
+    def test_registry_seeds_across_blocks(self):
+        # More seeds than one vectorised block holds.
+        registry = RngRegistry(2003)
+        seeds = [registry.seed_for(f"shadow-{i}") for i in range(5000)]
+        assert [v.hex() for v in first_gauss(seeds)] == _reference_gauss(seeds)
+
+    def test_empty(self):
+        assert first_gauss([]) == []
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_64_bit_seeds(self, seeds):
+        batch = _bulk(seeds)
+        assert [v.hex() for v in first_gauss(batch)] == _reference_gauss(batch)
+
+    def test_sinr_shadowing_is_the_pair_stream_draw(self):
+        """The SINR model's bulk shadowing equals the per-pair stream draw."""
+        sigma = 6.0
+        model = SinrCaptureReception(
+            UnitDiskPropagation(range_m=300.0),
+            RngRegistry(2003),
+            shadowing_sigma_db=sigma,
+        )
+        sim = Simulator()
+        channel = Channel(sim, reception=model)
+        rng = random.Random(5)
+        ids = rng.sample(range(1000), 30)
+        for node_id in ids:
+            position = Position(rng.uniform(0, 500), rng.uniform(0, 500))
+            Radio(sim, node_id, position, channel)
+        # The first row draws all 870 pairs, enough for the vectorised path.
+        assert 30 * 29 >= _MIN_BULK
+        channel.neighbors_of(ids[0])
+        reference = RngRegistry(2003)
+        for src in ids:
+            for dst in ids:
+                if src != dst:
+                    stream = reference.stream(f"shadow-{src}-{dst}")
+                    expected = stream.gauss(0, 1) * sigma
+                    assert model.shadowing_db(src, dst).hex() == expected.hex()
+        assert "shadow-" not in repr(model.registry)

@@ -1,40 +1,61 @@
 """Equivalence suite: the link-cache fast path vs the naive scan.
 
-The channel's :class:`~repro.phy.LinkCache` is a pure optimisation —
-ISSUE: every query it answers must be bit-identical (same values, same
-order) to the naive O(N) trig scan it replaces, on static topologies
-and under mobility with epoch invalidation.  These tests pin that
-property, plus a full-stack determinism guard: a complete
-:class:`~repro.net.NetworkSimulation` run produces identical results
-with the fast path on and off.
+The channel's :class:`~repro.phy.LinkCache` is a pure optimisation:
+every query it answers must be bit-identical (same values, same order)
+to the naive O(N) trig scan it replaces, on static topologies and under
+mobility with epoch invalidation, under both reception models (the row
+build prunes with each model's audible-candidate mask).  These tests
+pin that property, the range and sensitivity edges the mask's slack
+guards, the link table's memory bound, plus a full-stack determinism
+guard: a complete :class:`~repro.net.NetworkSimulation` run produces
+identical results with the fast path on and off.
 """
 
 import math
 import random
 
-from repro.dessim import Simulator, seconds
+from repro.dessim import RngRegistry, Simulator, seconds
+from repro.experiments.campaign import replicate_topology
 from repro.net import NetworkSimulation, TopologyConfig, generate_ring_topology
 from repro.phy import (
     Channel,
     OmniAntenna,
+    PhyConfig,
     Position,
     Radio,
     SectorAntenna,
+    SinrCaptureReception,
     UnitDiskPropagation,
 )
 
 RANGE_M = 300.0
+MODELS = ("unitdisk", "sinr")
 
 
-def _paired_worlds(positions, range_m=RANGE_M):
-    """Two identical radio fields: one cached channel, one naive."""
+def _reception(model, range_m, **knobs):
+    """A fresh reception model; ``None`` is the channel's unit-disk default."""
+    if model == "unitdisk":
+        return None
+    return SinrCaptureReception(
+        UnitDiskPropagation(range_m=range_m), RngRegistry(2003), **knobs
+    )
+
+
+def _paired_worlds(positions, range_m=RANGE_M, model="unitdisk", **knobs):
+    """Two identical radio fields: one cached channel, one naive.
+
+    Under ``model="sinr"`` each world gets its own model on the same
+    registry seed, so both see the same shadowing map.
+    """
     worlds = []
     for cached in (True, False):
         sim = Simulator()
+        reception = _reception(model, range_m, **knobs)
         channel = Channel(
             sim,
-            propagation=UnitDiskPropagation(range_m=range_m),
+            propagation=None if reception else UnitDiskPropagation(range_m=range_m),
             link_cache=cached,
+            reception=reception,
         )
         radios = [
             Radio(sim, node_id, pos, channel)
@@ -77,10 +98,11 @@ def _assert_equivalent(cached_channel, cached_radios, naive_channel, naive_radio
 
 def test_audible_sets_identical_on_random_topologies():
     """Cached audible/neighbor sets match the naive scan exactly."""
-    for seed in range(8):
-        rng = random.Random(seed)
-        positions = _random_positions(rng, rng.randint(2, 25))
-        _assert_equivalent(*_paired_worlds(positions), rng)
+    for model in MODELS:
+        for seed in range(8):
+            rng = random.Random(seed)
+            positions = _random_positions(rng, rng.randint(2, 25))
+            _assert_equivalent(*_paired_worlds(positions, model=model), rng)
 
 
 def test_link_geometry_matches_naive_channel():
@@ -125,27 +147,174 @@ def test_equivalence_under_mobility():
     bumps the node's epoch, so every later query must reflect the new
     geometry — applied identically to a naive world.
     """
-    rng = random.Random(4242)
-    positions = _random_positions(rng, 15)
-    cached_channel, cached_radios, naive_channel, naive_radios = _paired_worlds(
-        positions
-    )
-    cache = cached_channel.cache
-    # Warm every row and pair, then churn: move a random subset, check
-    # full equivalence, repeat.  Stale cached geometry would surface as
-    # a mismatch on the first post-move round.
-    _assert_equivalent(cached_channel, cached_radios, naive_channel, naive_radios, rng)
-    for _ in range(5):
-        movers = rng.sample(range(len(positions)), 4)
-        for node_id in movers:
-            target = Position(rng.uniform(-700, 700), rng.uniform(-700, 700))
-            epoch_before = cache.epoch_of(node_id)
-            cached_radios[node_id].position = target
-            naive_radios[node_id].position = target
-            assert cache.epoch_of(node_id) == epoch_before + 1
+    for model in MODELS:
+        rng = random.Random(4242)
+        positions = _random_positions(rng, 15)
+        cached_channel, cached_radios, naive_channel, naive_radios = _paired_worlds(
+            positions, model=model
+        )
+        cache = cached_channel.cache
+        # Warm every row and pair, then churn: move a random subset,
+        # check full equivalence, repeat.  Stale cached geometry would
+        # surface as a mismatch on the first post-move round.
         _assert_equivalent(
             cached_channel, cached_radios, naive_channel, naive_radios, rng
         )
+        for _ in range(5):
+            movers = rng.sample(range(len(positions)), 4)
+            for node_id in movers:
+                target = Position(rng.uniform(-700, 700), rng.uniform(-700, 700))
+                epoch_before = cache.epoch_of(node_id)
+                cached_radios[node_id].position = target
+                naive_radios[node_id].position = target
+                assert cache.epoch_of(node_id) == epoch_before + 1
+            _assert_equivalent(
+                cached_channel, cached_radios, naive_channel, naive_radios, rng
+            )
+
+
+def _ring_at(distances):
+    """A sender at the origin and one receiver per distance.
+
+    Receivers sit on a spread of bearings, so ``math.hypot`` and
+    ``np.hypot`` of their offsets may disagree in the last ulp.
+    """
+    positions = [Position(0.0, 0.0)]
+    for index, distance in enumerate(distances):
+        angle = 0.1 + 0.37 * index
+        positions.append(
+            Position(distance * math.cos(angle), distance * math.sin(angle))
+        )
+    return positions
+
+
+def _assert_same_verdicts(positions, **world):
+    cached_channel, _, naive_channel, _ = _paired_worlds(positions, **world)
+    for sender in range(len(positions)):
+        assert cached_channel.neighbors_of(sender) == naive_channel.neighbors_of(
+            sender
+        )
+        for receiver in range(len(positions)):
+            if receiver != sender:
+                assert cached_channel.link(sender, receiver) == naive_channel.link(
+                    sender, receiver
+                )
+
+
+def test_unit_disk_range_edge_matches_naive_scan():
+    """Pairs at range_m and one ulp either side get the scalar ``<=`` verdict."""
+    edges = [
+        RANGE_M,
+        math.nextafter(RANGE_M, math.inf),
+        math.nextafter(RANGE_M, -math.inf),
+    ]
+    # On the x axis the distances are exact, so the verdicts are known.
+    on_axis = [Position(0.0, 0.0)] + [Position(d, 0.0) for d in edges]
+    cached_channel, _, _, _ = _paired_worlds(on_axis)
+    assert cached_channel.neighbors_of(0) == [1, 3]
+    # Off axis, each distance is whatever the scalar hypot rounds to.
+    positions = _ring_at(edges * 6)
+    _assert_same_verdicts(positions)
+    cached_channel, _, _, _ = _paired_worlds(positions)
+    origin = positions[0]
+    expected = [
+        node_id
+        for node_id, position in enumerate(positions[1:], start=1)
+        if origin.distance_to(position) <= RANGE_M
+    ]
+    assert cached_channel.neighbors_of(0) == expected
+    # A pair whose numpy distance rounds one ulp above the scalar one
+    # (np.hypot vs math.hypot on x86-64 glibc), with the range set to
+    # the scalar distance: in range, however numpy rounds.
+    receiver = Position(258.218, 261.731)
+    edge = Position(0.0, 0.0).distance_to(receiver)
+    cached_channel, _, naive_channel, _ = _paired_worlds(
+        [Position(0.0, 0.0), receiver], range_m=edge
+    )
+    assert cached_channel.neighbors_of(0) == naive_channel.neighbors_of(0) == [1]
+
+
+def test_sinr_sensitivity_edge_matches_naive_scan():
+    """A budget within 1e-9 dB of sensitivity gets the naive verdict."""
+    model = SinrCaptureReception(
+        UnitDiskPropagation(range_m=RANGE_M), RngRegistry(0), shadowing_sigma_db=0.0
+    )
+    # Distance at which the default budget lands exactly on -94 dBm.
+    edge = model.reference_distance_m * 10.0 ** (
+        (model.tx_power_dbm - model.reference_loss_db - model.sensitivity_dbm)
+        / (10.0 * model.pathloss_exponent)
+    )
+    # 30 * log10(1 + 3e-11) is about 4e-10 dB.
+    distances = [
+        edge * (1.0 + rel) for rel in (-3e-11, -1e-12, 0.0, 1e-12, 3e-11)
+    ] + [math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)]
+    positions = _ring_at(distances * 3)
+    for pair in ((0, 1), (0, 5)):
+        budget = model.rx_power_dbm(*pair, positions[pair[0]], positions[pair[1]])
+        assert abs(budget - model.sensitivity_dbm) < 1e-9
+    _assert_same_verdicts(positions, model="sinr", shadowing_sigma_db=0.0)
+    # The pair whose numpy distance is one ulp long (see the unit-disk
+    # edge test), with the transmit power set so the scalar budget
+    # lands on sensitivity: audible, though numpy's budget falls short.
+    receiver = Position(258.218, 261.731)
+    tx_power_dbm = (
+        model.sensitivity_dbm
+        + model.reference_loss_db
+        + 10.0 * model.pathloss_exponent
+        * math.log10(Position(0.0, 0.0).distance_to(receiver))
+    )
+    cached_channel, _, naive_channel, _ = _paired_worlds(
+        [Position(0.0, 0.0), receiver],
+        model="sinr",
+        shadowing_sigma_db=0.0,
+        tx_power_dbm=tx_power_dbm,
+    )
+    assert cached_channel.neighbors_of(0) == naive_channel.neighbors_of(0) == [1]
+    # With shadowing on, put each receiver on its own pair's edge.
+    shadowed = SinrCaptureReception(
+        UnitDiskPropagation(range_m=RANGE_M), RngRegistry(2003)
+    )
+    positions = [Position(0.0, 0.0)]
+    for node_id in range(1, 13):
+        shift_db = shadowed.shadowing_db(0, node_id) + (node_id % 3 - 1) * 1e-10
+        distance = edge * 10.0 ** (shift_db / (10.0 * shadowed.pathloss_exponent))
+        angle = 0.5 * node_id
+        positions.append(
+            Position(distance * math.cos(angle), distance * math.sin(angle))
+        )
+    _assert_same_verdicts(positions, model="sinr")
+
+
+def test_dense_sinr_link_table_is_linear_in_memory(monkeypatch):
+    """No O(N^2) per-pair objects survive a 200-node SINR build.
+
+    The registry holds O(N) streams (none per pair) and the point cache
+    holds records for the audible pairs, not for every ordered pair.
+    """
+    topology = replicate_topology(2003, 8, 0, rings=5)
+    nodes = len(topology.positions)
+    assert nodes == 200
+    requested = []
+    stream = RngRegistry.stream
+
+    def recording_stream(self, name):
+        requested.append(name)
+        return stream(self, name)
+
+    monkeypatch.setattr(RngRegistry, "stream", recording_stream)
+    net = NetworkSimulation(
+        topology,
+        "DRTS-OCTS",
+        math.pi / 2,
+        seed=11,
+        phy_config=PhyConfig(model="sinr"),
+    )
+    channel = net.channel
+    audible_pairs = sum(len(channel.neighbors_of(node)) for node in channel.radios)
+    assert not [name for name in requested if name.startswith("shadow-")]
+    assert len(set(requested)) <= 3 * nodes
+    assert 0 < channel.cache.cached_pairs() <= 2 * audible_pairs
+    assert audible_pairs < nodes * (nodes - 1) // 4
 
 
 def test_move_seq_advances_on_attach_and_move():

@@ -128,6 +128,20 @@ class TestShadowingDeterminism:
     def test_zero_sigma_zero_shadow(self):
         assert sinr_model(seed=7).shadowing_db(1, 2) == 0.0
 
+    def test_zero_sigma_draws_nothing(self, monkeypatch):
+        # No seed is hashed, no generator seeded: every term is 0.0.
+        def no_seed(self, name):
+            raise AssertionError(f"zero sigma derived a seed for {name!r}")
+
+        monkeypatch.setattr(RngRegistry, "seed_for", no_seed)
+        monkeypatch.setattr(RngRegistry, "stream", no_seed)
+        sim, channel, node = make_net(sinr_model(seed=7))
+        for nid in range(4):
+            node(nid, 40.0 * nid, 0.0)
+        assert channel.neighbors_of(0) == [1, 2, 3]
+        assert channel.link(3, 0).in_range
+        assert channel.reception.shadowing_db(1, 2) == 0.0
+
     def test_directions_shadow_independently(self):
         model = sinr_model(seed=7, shadowing_sigma_db=6.0)
         assert model.shadowing_db(1, 2) != model.shadowing_db(2, 1)
